@@ -3,10 +3,11 @@
 // including the block-parallel numeric factorization executed by worker
 // goroutines over the partitioner's dependency graph.
 //
-// The program solves a Poisson-like system on a 9-point grid, checks the
-// residual, and cross-validates the parallel factorization against the
-// sequential one, demonstrating that the block dependency graph of
-// Section 3.3 is sufficient for correct parallel execution.
+// The program solves a Poisson-like system on a 9-point grid with the
+// staged pipeline (AnalyzePattern -> Plan -> Factorize -> Solve), checks
+// the residual, and cross-validates the block-parallel factorization
+// against the sequential one, demonstrating that the block dependency
+// graph of Section 3.3 is sufficient for correct parallel execution.
 package main
 
 import (
@@ -20,12 +21,12 @@ import (
 func main() {
 	// A 24x24 9-point grid: 576 unknowns.
 	a := repro.Grid9(24, 24)
-	sys, err := repro.Analyze(a)
+	an, err := repro.AnalyzePattern(a)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("system: n=%d, nnz(A)=%d, nnz(L)=%d, fill-in=%d\n",
-		a.N, a.NNZ(), sys.F.NNZ(), sys.F.NNZ()-a.NNZ())
+		a.N, a.NNZ(), an.F.NNZ(), an.F.NNZ()-a.NNZ())
 
 	// Manufactured solution: x*_i = sin(i/10), b = A x*.
 	xStar := make([]float64, a.N)
@@ -34,8 +35,17 @@ func main() {
 	}
 	b := matVec(a, xStar)
 
-	// 1. Sequential direct solve on the original system.
-	x, err := sys.Solve(b)
+	// 1. Sequential direct solve on the original system: plan once,
+	// factor once, solve against the held Factor.
+	pl, err := an.Plan("wrap", 8, repro.StrategyOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fa, err := pl.Factorize(a, repro.KernelCholesky)
+	if err != nil {
+		log.Fatal(err)
+	}
+	x, err := fa.Solve(b)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,48 +56,33 @@ func main() {
 		}
 	}
 	fmt.Printf("sequential solve: residual=%.2e, max error vs manufactured x*=%.2e\n",
-		sys.ResidualNorm(x, b), worst)
+		residual(a, x, b), worst)
 
-	// 2. Block-parallel factorization on 8 simulated processors.
-	part := sys.Partition(repro.PartitionOptions{Grain: 16, MinClusterWidth: 4})
-	sc := sys.BlockSchedule(part, 8)
-	pv, err := sys.ParallelFactorize(part, sc)
+	// 2. Block-parallel factorization on 8 simulated processors: the
+	// block plan's unit-block task graph runs on worker goroutines.
+	opts := repro.StrategyOptions{Part: repro.PartitionOptions{Grain: 16, MinClusterWidth: 4}}
+	bp, err := an.Plan("block", 8, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	chol, err := sys.Factorize()
+	fp, err := bp.FactorizeParallel(a, repro.KernelCholesky)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var dev float64
-	for k := range pv {
-		if d := math.Abs(pv[k] - chol.Val[k]); d > dev {
+	for k := range fp.Val {
+		if d := math.Abs(fp.Val[k] - fa.Val[k]); d > dev {
 			dev = d
 		}
 	}
-	fmt.Printf("parallel factorization (8 workers, %d unit blocks): max |L_par - L_seq| = %.2e\n",
-		len(part.Units), dev)
-
-	tr := sys.Traffic(sc)
+	fmt.Printf("parallel factorization (8 workers, %d unit blocks): max |L_par - L_seq| = %.2e, shared key: %v\n",
+		len(bp.Tasks), dev, fp.Key == fa.Key)
 	fmt.Printf("simulated traffic at this schedule: %d units total, A=%.3f\n",
-		tr.Total, sc.Imbalance())
+		bp.TrafficTotal(), bp.S1.Imbalance())
 
-	// 3. The staged pipeline: analyze the pattern once, plan once, factor
-	// once, then solve many right-hand sides against the held Factor —
-	// no stage ever re-runs, and each solve is bitwise identical to the
-	// monolithic sys.Solve above.
-	an, err := repro.AnalyzePattern(a)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pl, err := an.Plan("wrap", 8, repro.StrategyOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fa, err := pl.Factorize(a, repro.KernelCholesky)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 3. Many right-hand sides against the held Factors: no stage ever
+	// re-runs. SolveBatch is bitwise the serial Solve; SolveParallel runs
+	// the fan-in sweeps over the block plan's column ownership.
 	rhs := make([][]float64, 4)
 	rhs[0] = b
 	for r := 1; r < len(rhs); r++ {
@@ -103,12 +98,27 @@ func main() {
 	}
 	for i := range xs[0] {
 		if xs[0][i] != x[i] {
-			log.Fatalf("staged solve deviates from monolithic solve at x[%d]", i)
+			log.Fatalf("batch solve deviates from single solve at x[%d]", i)
 		}
+	}
+	xp, err := fp.SolveParallel(b)
+	if err != nil {
+		log.Fatal(err)
 	}
 	key := fa.Key.String()
 	fmt.Printf("staged pipeline: factored once (key %s...), solved %d right-hand sides; "+
-		"staged x == monolithic x bit for bit\n", key[:min(22, len(key))], len(rhs))
+		"parallel sweeps residual=%.2e\n", key[:min(22, len(key))], len(rhs), residual(a, xp, b))
+}
+
+// residual returns ‖A·x − b‖∞ / ‖b‖∞.
+func residual(a *repro.Matrix, x, b []float64) float64 {
+	ax := matVec(a, x)
+	var rmax, bmax float64
+	for i := range b {
+		rmax = math.Max(rmax, math.Abs(ax[i]-b[i]))
+		bmax = math.Max(bmax, math.Abs(b[i]))
+	}
+	return rmax / bmax
 }
 
 // matVec multiplies the full symmetric matrix by x.

@@ -13,12 +13,14 @@ import (
 )
 
 // ParallelFactorize2D executes the numeric Cholesky factorization with one
-// worker goroutine per processor over an arbitrary column-partitioned task
-// graph — in particular the merged tile-segment graph of a 2D tile
-// schedule (part2d.Tasks). Each task owns a set of elements of one target
-// column; its worker waits on the task's predecessors (per-task done
-// channels, closed on completion), applies the column's updates to its
-// elements, and scales them.
+// worker goroutine per processor over an arbitrary task graph — the merged
+// tile-segment graph of a 2D tile schedule (part2d.Tasks), the column
+// graph of a column-granular 1D schedule, or the unit-block graph of a
+// block-granular one (BlockExecTasks). Each task owns a set of factor
+// elements, possibly spanning several columns; its worker waits on the
+// task's predecessors (per-task done channels, closed on completion) and
+// then processes the task's columns in ascending order, applying each
+// column's updates to the task's elements of it and scaling them.
 //
 // The result is bit-for-bit equal to numeric.Factorize: updates are
 // applied in the serial left-looking chain order (numeric.Chains) with the
@@ -28,9 +30,9 @@ import (
 // falsifiable — the same task graph they predict is what actually runs.
 //
 // tasks must be topologically ordered by ID with processors in [0, p), and
-// elemTask must assign every factor position to a task of its own column;
-// malformed inputs are reported as errors (the validator is shared with
-// ParallelSolve), never as panics or races.
+// elemTask must assign every factor position to a task; malformed inputs
+// are reported as errors (the validator is shared with ParallelSolve),
+// never as panics or races.
 func ParallelFactorize2D(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*NumericFactor, error) {
 	nf, _, err := runFactorize2D(m, f, p, tasks, elemTask, false, false)
 	return nf, err
@@ -72,25 +74,14 @@ func runFactorize2D(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, e
 	if len(elemTask) != f.NNZ() {
 		return nil, nil, fmt.Errorf("exec: element-task map covers %d positions, factor has %d", len(elemTask), f.NNZ())
 	}
-	// Group every task's elements (ascending positions) and pin the
-	// one-column-per-task invariant the kernel relies on.
+	// Group every task's elements: ascending positions, so a task spanning
+	// several columns holds them as one run per column, in column order.
 	taskElems := make([][]int32, len(tasks))
-	taskCol := make([]int32, len(tasks))
-	for i := range taskCol {
-		taskCol[i] = -1
-	}
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			t := elemTask[q]
-			if t < 0 || int(t) >= len(tasks) {
-				return nil, nil, fmt.Errorf("exec: position %d mapped to out-of-range task %d", q, t)
-			}
-			if taskCol[t] >= 0 && taskCol[t] != int32(j) {
-				return nil, nil, fmt.Errorf("exec: task %d spans columns %d and %d", t, taskCol[t], j)
-			}
-			taskCol[t] = int32(j)
-			taskElems[t] = append(taskElems[t], int32(q))
+	for q, t := range elemTask {
+		if t < 0 || int(t) >= len(tasks) {
+			return nil, nil, fmt.Errorf("exec: position %d mapped to out-of-range task %d", q, t)
 		}
+		taskElems[t] = append(taskElems[t], int32(q))
 	}
 	head, pos := numeric.Chains(f)
 	e := &engine2D{
@@ -129,7 +120,7 @@ func runFactorize2D(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, e
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
 		wg.Add(1)
-		//repro:allow nondeterminism -- one worker per processor over the 2D tile DAG; updates to a column are serialized by its dependency counter and ordered by tile id, pinned bitwise by TestParallelFactorizeBitIdentity under -race
+		//repro:allow nondeterminism -- one worker per processor over the task DAG (tile segments, columns or unit blocks); every element replays the serial chain order, pinned bitwise by TestParallelFactorizeBitIdentity and TestFactorizeParallelEveryPlanBitIdentical under -race
 		go func(proc int) {
 			defer wg.Done()
 			mine := perProc[proc]
@@ -161,8 +152,7 @@ func runFactorize2D(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, e
 				if record {
 					start = time.Since(t0).Nanoseconds()
 				}
-				round++
-				if err := e.computeTask(taskElems[ti], tpos, stamp, round); err != nil {
+				if err := e.computeTask(taskElems[ti], tpos, stamp, &round); err != nil {
 					fail(err)
 					return
 				}
@@ -194,17 +184,36 @@ func runFactorize2D(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, e
 	return &NumericFactor{F: f, Val: e.val}, evs, nil
 }
 
-// computeTask runs one merged tile-segment task: apply the target column's
-// updates to the task's elements in the serial chain order, then scale.
-// elems are ascending positions of a single column; round stamps the
-// worker-local scatter arrays.
-func (e *engine2D) computeTask(elems []int32, tpos, stamp []int32, round int32) error {
-	if len(elems) == 0 {
-		return nil
+// computeTask runs one task: its elements (ascending positions) split
+// into one run per column, processed in ascending column order. Each run
+// takes a fresh stamp round of the worker-local scatter arrays, applies
+// its column's updates in the serial chain order, then scales. A run may
+// read elements of the task's earlier runs, which are final by then.
+func (e *engine2D) computeTask(elems []int32, tpos, stamp []int32, round *int32) error {
+	for len(elems) > 0 {
+		j := int(e.colOf[elems[0]])
+		end := int32(e.f.ColPtr[j+1])
+		n := len(elems)
+		if elems[n-1] >= end {
+			n = 1
+			for elems[n] < end {
+				n++
+			}
+		}
+		*round++
+		if err := e.computeColumn(j, elems[:n], tpos, stamp, *round); err != nil {
+			return err
+		}
+		elems = elems[n:]
 	}
+	return nil
+}
+
+// computeColumn applies column j's updates to elems, ascending positions
+// of column j, in the serial chain order, then scales them.
+func (e *engine2D) computeColumn(j int, elems []int32, tpos, stamp []int32, round int32) error {
 	f := e.f
 	val := e.val
-	j := int(e.colOf[elems[0]])
 	diag := int32(f.ColPtr[j])
 	for _, q := range elems {
 		i := f.RowInd[q]
@@ -216,11 +225,11 @@ func (e *engine2D) computeTask(elems []int32, tpos, stamp []int32, round int32) 
 		k := int(e.colOf[p])
 		end := int32(f.ColPtr[k+1])
 		// ljk (and D[k] for LDL) are loaded lazily, on the first row this
-		// task owns: the update (i, j) <- (i, k), (j, k) then guarantees
-		// both source tasks are among this task's predecessors, so the
-		// reads are synchronized. A chain entry touching none of the
-		// task's rows must not read column k at all — its tasks may still
-		// be in flight.
+		// run owns: the update (i, j) <- (i, k), (j, k) then guarantees
+		// both sources are in this task's predecessors or in an earlier
+		// run of this task, so the reads are synchronized. A chain entry
+		// touching none of the run's rows must not read column k at all —
+		// its tasks may still be in flight.
 		loaded := false
 		var ljk, dk float64
 		for q := p; q < end; q++ {

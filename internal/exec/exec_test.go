@@ -116,87 +116,6 @@ func TestCriticalPathChain(t *testing.T) {
 	}
 }
 
-func TestParallelFactorizeMatchesSequential(t *testing.T) {
-	for _, tm := range gen.Suite() {
-		p := buildPipe(tm.Build(), 25, 4)
-		s := sched.BlockMap(p.part, 8)
-		got, err := ParallelFactorize(p.m, p.part, s)
-		if err != nil {
-			t.Fatalf("%s: %v", tm.Name, err)
-		}
-		want, err := numeric.Factorize(p.m, p.f)
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", tm.Name, err)
-		}
-		var worst float64
-		for k := range want.Val {
-			if d := math.Abs(got.Val[k] - want.Val[k]); d > worst {
-				worst = d
-			}
-		}
-		if worst > 1e-9 {
-			t.Errorf("%s: parallel factor deviates from sequential by %g", tm.Name, worst)
-		}
-	}
-}
-
-func TestParallelFactorizeRandomProperty(t *testing.T) {
-	fc := func(seed int64) bool {
-		m := gen.Random(45, 1.3, seed)
-		p := buildPipe(m, 3, 3)
-		s := sched.BlockMap(p.part, 4)
-		got, err := ParallelFactorize(p.m, p.part, s)
-		if err != nil {
-			return false
-		}
-		want, err := numeric.Factorize(p.m, p.f)
-		if err != nil {
-			return false
-		}
-		for k := range want.Val {
-			if math.Abs(got.Val[k]-want.Val[k]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(fc, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParallelFactorizeRejectsPatternOnly(t *testing.T) {
-	p := buildPipe(gen.Grid5(3, 3), 4, 4)
-	bare := &sparse.Matrix{N: p.m.N, ColPtr: p.m.ColPtr, RowInd: p.m.RowInd}
-	s := sched.BlockMap(p.part, 2)
-	if _, err := ParallelFactorize(bare, p.part, s); err == nil {
-		t.Fatal("expected error for pattern-only matrix")
-	}
-}
-
-func TestParallelFactorizeNotSPD(t *testing.T) {
-	m := gen.Grid5(4, 4)
-	// Make it indefinite.
-	m.Val[0] = -100
-	p := &pipe{m: m, f: symbolic.Analyze(m)}
-	p.part = core.NewPartition(p.f, core.Options{Grain: 4, MinClusterWidth: 4})
-	s := sched.BlockMap(p.part, 3)
-	if _, err := ParallelFactorize(m, p.part, s); err == nil {
-		t.Fatal("expected not-SPD error")
-	}
-}
-
-func BenchmarkParallelFactorizeLap30(b *testing.B) {
-	p := buildPipe(gen.Lap30(), 25, 4)
-	s := sched.BlockMap(p.part, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParallelFactorize(p.m, p.part, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMakespanLap30(b *testing.B) {
 	p := buildPipe(gen.Lap30(), 4, 4)
 	s := sched.BlockMap(p.part, 16)
@@ -204,58 +123,6 @@ func BenchmarkMakespanLap30(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SimulateMakespan(tasks, 16)
-	}
-}
-
-func TestParallelLDLMatchesSequential(t *testing.T) {
-	// The Section 5 generality claim: the same partition, schedule and
-	// dependency graph drive a different factorization kernel.
-	for _, tm := range gen.Suite()[:3] {
-		p := buildPipe(tm.Build(), 25, 4)
-		s := sched.BlockMap(p.part, 8)
-		got, err := ParallelFactorizeLDL(p.m, p.part, s)
-		if err != nil {
-			t.Fatalf("%s: %v", tm.Name, err)
-		}
-		want, err := numeric.FactorizeLDL(p.m, p.f)
-		if err != nil {
-			t.Fatalf("%s: %v", tm.Name, err)
-		}
-		var worst float64
-		for k := range want.Val {
-			if d := math.Abs(got.Val[k] - want.Val[k]); d > worst {
-				worst = d
-			}
-		}
-		if worst > 1e-9 {
-			t.Errorf("%s: parallel LDL deviates by %g", tm.Name, worst)
-		}
-	}
-}
-
-func TestParallelLDLIndefinite(t *testing.T) {
-	// An indefinite diagonal shift: Cholesky fails, LDL^T succeeds in
-	// parallel too (natural ordering keeps the test deterministic).
-	m := gen.Grid5(6, 6)
-	m.Val[0] = -3 // perturb one diagonal entry to flip an eigenvalue
-	f := symbolic.Analyze(m)
-	part := core.NewPartition(f, core.Options{Grain: 8, MinClusterWidth: 4})
-	s := sched.BlockMap(part, 4)
-	if _, err := ParallelFactorize(m, part, s); err == nil {
-		t.Fatal("parallel Cholesky should reject the indefinite matrix")
-	}
-	got, err := ParallelFactorizeLDL(m, part, s)
-	if err != nil {
-		t.Fatalf("parallel LDL: %v", err)
-	}
-	want, err := numeric.FactorizeLDL(m, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range want.Val {
-		if math.Abs(got.Val[k]-want.Val[k]) > 1e-9 {
-			t.Fatalf("value %d differs", k)
-		}
 	}
 }
 

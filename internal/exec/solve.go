@@ -13,25 +13,25 @@ import (
 // solveSetup validates the rhs and schedule against the factor structure
 // and derives what both parallel triangular solvers share: the
 // per-processor column lists (a column belongs to the owner of its
-// diagonal element), the row-structure ops, the backward-sweep dependency
-// lists, and a positional lookup for L[i][j].
-func solveSetup(f *symbolic.Factor, s *sched.Schedule, b []float64) (ops *model.Ops, perProc [][]int, backDeps [][]int32, posOf func(i, j int) int, err error) {
+// diagonal element), the row-structure ops (columns and value positions
+// of every row) and the backward-sweep dependency lists.
+func solveSetup(f *symbolic.Factor, s *sched.Schedule, b []float64) (ops *model.Ops, perProc [][]int, backDeps [][]int32, err error) {
 	n := f.N
 	if len(b) != n {
-		return nil, nil, nil, nil, fmt.Errorf("exec: rhs length %d, want %d", len(b), n)
+		return nil, nil, nil, fmt.Errorf("exec: rhs length %d, want %d", len(b), n)
 	}
 	if len(s.ElemProc) != f.NNZ() {
-		return nil, nil, nil, nil, fmt.Errorf("exec: schedule covers a different factor")
+		return nil, nil, nil, fmt.Errorf("exec: schedule covers a different factor")
 	}
 	if err := checkProcCount(s.P); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	ops = model.NewOps(f)
 	perProc = make([][]int, s.P)
 	for j := 0; j < n; j++ {
 		p := s.ElemProc[f.ColPtr[j]]
 		if err := checkProc(p, s.P); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("exec: column %d: %w", j, err)
+			return nil, nil, nil, fmt.Errorf("exec: column %d: %w", j, err)
 		}
 		perProc[p] = append(perProc[p], j)
 	}
@@ -45,21 +45,7 @@ func solveSetup(f *symbolic.Factor, s *sched.Schedule, b []float64) (ops *model.
 		}
 		backDeps[j] = deps
 	}
-	// posOf(i, j): value index of L[i][j].
-	posOf = func(i, j int) int {
-		col := f.Col(j)
-		lo, hi := 0, len(col)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if col[mid] < i {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return f.ColPtr[j] + lo
-	}
-	return ops, perProc, backDeps, posOf, nil
+	return ops, perProc, backDeps, nil
 }
 
 // ParallelSolve runs the two triangular solves of the paper's step 4
@@ -78,7 +64,7 @@ func solveSetup(f *symbolic.Factor, s *sched.Schedule, b []float64) (ops *model.
 func ParallelSolve(chol *numeric.Cholesky, s *sched.Schedule, b []float64) ([]float64, error) {
 	f := chol.F
 	n := f.N
-	ops, perProc, backDeps, posOf, err := solveSetup(f, s, b)
+	ops, perProc, backDeps, err := solveSetup(f, s, b)
 	if err != nil {
 		return nil, err
 	}
@@ -87,8 +73,9 @@ func ParallelSolve(chol *numeric.Cholesky, s *sched.Schedule, b []float64) ([]fl
 	y := make([]float64, n)
 	runSweep(s.P, perProc, false, func(j int) {
 		sum := b[j]
-		for _, k := range ops.RowCols(j) {
-			sum -= chol.Val[posOf(j, int(k))] * y[k]
+		pos := ops.RowPositions(j)
+		for t, k := range ops.RowCols(j) {
+			sum -= chol.Val[pos[t]] * y[k]
 		}
 		y[j] = sum / chol.Val[f.ColPtr[j]]
 	}, func(j int) []int32 { return ops.RowCols(j) }, n)
@@ -113,13 +100,13 @@ func ParallelSolve(chol *numeric.Cholesky, s *sched.Schedule, b []float64) ([]fl
 //	forward:  z[j] = b[j] - Σ_{k in rowstruct(j)} L[j,k]·z[k]
 //	backward: x[j] = z[j]/D[j] - Σ_{i in struct(j), i>j} L[i,j]·x[i]
 //
-// Together with ParallelFactorizeLDL / ParallelFactorize2DLDL this closes
-// the LDLᵀ pipeline: both kernels now factor *and* solve in parallel
-// under any column-ownership schedule.
+// Together with ParallelFactorize2DLDL this closes the LDLᵀ pipeline: both
+// kernels factor *and* solve in parallel under any column-ownership
+// schedule.
 func ParallelSolveLDL(ldl *numeric.LDL, s *sched.Schedule, b []float64) ([]float64, error) {
 	f := ldl.F
 	n := f.N
-	ops, perProc, backDeps, posOf, err := solveSetup(f, s, b)
+	ops, perProc, backDeps, err := solveSetup(f, s, b)
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +115,9 @@ func ParallelSolveLDL(ldl *numeric.LDL, s *sched.Schedule, b []float64) ([]float
 	z := make([]float64, n)
 	runSweep(s.P, perProc, false, func(j int) {
 		sum := b[j]
-		for _, k := range ops.RowCols(j) {
-			sum -= ldl.Val[posOf(j, int(k))] * z[k]
+		pos := ops.RowPositions(j)
+		for t, k := range ops.RowCols(j) {
+			sum -= ldl.Val[pos[t]] * z[k]
 		}
 		z[j] = sum
 	}, func(j int) []int32 { return ops.RowCols(j) }, n)
@@ -149,16 +137,18 @@ func ParallelSolveLDL(ldl *numeric.LDL, s *sched.Schedule, b []float64) ([]float
 
 // runSweep executes one triangular sweep: each processor's worker walks
 // its columns (reversed for the backward sweep) and blocks until the
-// column's dependencies are done.
+// column's dependencies are done (per-column done channels, closed once
+// the column is computed).
 func runSweep(p int, perProc [][]int, reverse bool, compute func(j int), deps func(j int) []int32, n int) {
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	done := make([]bool, n)
+	done := make([]chan struct{}, n)
+	for j := range done {
+		done[j] = make(chan struct{})
+	}
 	var wg sync.WaitGroup
 	for proc := 0; proc < p; proc++ {
 		cols := perProc[proc]
 		wg.Add(1)
-		//repro:allow nondeterminism -- per-processor sweep workers synchronize on the done/cond column flags; each column is computed exactly once from finished dependencies, pinned by TestParallelSolveLDLDeterministic and TestParallelSolveMatchesSequential
+		//repro:allow nondeterminism -- per-processor sweep workers synchronize on per-column done channels; each column is computed exactly once from finished dependencies, pinned by TestParallelSolveLDLDeterministic and TestParallelSolveMatchesSequential
 		go func(cols []int) {
 			defer wg.Done()
 			order := cols
@@ -169,16 +159,17 @@ func runSweep(p int, perProc [][]int, reverse bool, compute func(j int), deps fu
 				}
 			}
 			for _, j := range order {
-				mu.Lock()
-				for !allDone(done, deps(j)) {
-					cond.Wait()
+				for _, d := range deps(j) {
+					// Non-blocking first: a closed channel is read
+					// without taking its lock.
+					select {
+					case <-done[d]:
+					default:
+						<-done[d]
+					}
 				}
-				mu.Unlock()
 				compute(j)
-				mu.Lock()
-				done[j] = true
-				cond.Broadcast()
-				mu.Unlock()
+				close(done[j])
 			}
 		}(cols)
 	}

@@ -49,21 +49,6 @@ func TestParallelSolveRejectsOutOfRangeOwner(t *testing.T) {
 	}
 }
 
-// The 1D block engine shares the validator: corrupt unit owners error out
-// instead of racing or panicking.
-func TestParallelFactorizeRejectsBadOwners(t *testing.T) {
-	p := buildPipe(gen.Grid5(4, 4), 4, 4)
-	s := sched.BlockMap(p.part, 2)
-	s.UnitProc[0] = 7
-	if _, err := ParallelFactorize(p.m, p.part, s); err == nil {
-		t.Fatal("expected error for out-of-range unit owner")
-	}
-	s.P = 0
-	if _, err := ParallelFactorize(p.m, p.part, s); err == nil {
-		t.Fatal("expected error for P=0 schedule")
-	}
-}
-
 // serialColumnTasks builds the trivially valid task graph for the 2D
 // engine: one task per column on one processor, ID order = column order.
 func serialColumnTasks(p *pipe) ([]Task, []int32) {
@@ -99,6 +84,58 @@ func TestParallelFactorize2DSerialGraph(t *testing.T) {
 	}
 }
 
+// A task may own elements of several columns: the engine processes them
+// column by column in ascending order, so pairing columns into tasks (and
+// moving a diagonal away from the rest of its column) keeps the factor
+// bit-identical to the serial kernels.
+func TestParallelFactorize2DMultiColumnTasks(t *testing.T) {
+	p := buildPipe(gen.Lap30(), 4, 4)
+	ntask := (p.f.N + 1) / 2
+	tasks := make([]Task, ntask)
+	for i := range tasks {
+		tasks[i] = Task{ID: i, Proc: 0, Work: 1}
+		if i > 0 {
+			tasks[i].Preds = []int32{int32(i - 1)}
+		}
+	}
+	elemTask := make([]int32, p.f.NNZ())
+	for j := 0; j < p.f.N; j++ {
+		for q := p.f.ColPtr[j]; q < p.f.ColPtr[j+1]; q++ {
+			elemTask[q] = int32(j / 2)
+		}
+	}
+	// Task t owns columns 2t and 2t+1, except that column 1's
+	// off-diagonals move to task 1: its diagonal stays behind in task 0,
+	// and task 1 then runs columns 1, 2 and 3.
+	for q := p.f.ColPtr[1] + 1; q < p.f.ColPtr[2]; q++ {
+		elemTask[q] = 1
+	}
+	want, err := numeric.Factorize(p.m, p.f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantL, err := numeric.FactorizeLDL(p.m, p.f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParallelFactorize2D(p.m, p.f, 1, tasks, elemTask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotL, err := ParallelFactorize2DLDL(p.m, p.f, 1, tasks, elemTask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := range want.Val {
+		if math.Float64bits(got.Val[q]) != math.Float64bits(want.Val[q]) {
+			t.Fatalf("cholesky position %d: %g vs %g", q, got.Val[q], want.Val[q])
+		}
+		if math.Float64bits(gotL.Val[q]) != math.Float64bits(wantL.Val[q]) {
+			t.Fatalf("ldl position %d: %g vs %g", q, gotL.Val[q], wantL.Val[q])
+		}
+	}
+}
+
 func TestParallelFactorize2DRejectsMalformed(t *testing.T) {
 	p := buildPipe(gen.Grid5(4, 4), 4, 4)
 	tasks, elemTask := serialColumnTasks(p)
@@ -124,13 +161,6 @@ func TestParallelFactorize2DRejectsMalformed(t *testing.T) {
 			bad := make([]int32, len(elemTask))
 			copy(bad, elemTask)
 			bad[0] = int32(len(tasks))
-			_, err := ParallelFactorize2D(p.m, p.f, 1, tasks, bad)
-			return err
-		}},
-		{"task spans columns", func() error {
-			bad := make([]int32, len(elemTask))
-			copy(bad, elemTask)
-			bad[p.f.ColPtr[1]] = 0 // column 1's diagonal into column 0's task
 			_, err := ParallelFactorize2D(p.m, p.f, 1, tasks, bad)
 			return err
 		}},

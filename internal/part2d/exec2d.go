@@ -6,23 +6,6 @@ import (
 	"repro/internal/sparse"
 )
 
-// ParallelFactorize executes the real multi-goroutine Cholesky
-// factorization over the tile ownership of s: the merged tile-segment task
-// graph (Tasks) that the makespan simulators predict is executed by worker
-// goroutines, one per processor, producing a factor bit-for-bit equal to
-// numeric.Factorize. m must be the permuted matrix ops was built from.
-func ParallelFactorize(m *sparse.Matrix, ops *model.Ops, elemWork []int64, s *Schedule2D) (*exec.NumericFactor, error) {
-	tasks, elemTask := Tasks(ops, elemWork, s)
-	return exec.ParallelFactorize2D(m, ops.F, s.P, tasks, elemTask)
-}
-
-// ParallelFactorizeLDL is ParallelFactorize with the square-root-free LDLᵀ
-// kernel, bit-for-bit equal to numeric.FactorizeLDL.
-func ParallelFactorizeLDL(m *sparse.Matrix, ops *model.Ops, elemWork []int64, s *Schedule2D) (*exec.NumericFactor, error) {
-	tasks, elemTask := Tasks(ops, elemWork, s)
-	return exec.ParallelFactorize2DLDL(m, ops.F, s.P, tasks, elemTask)
-}
-
 // Measure times the serial factorization against the parallel execution of
 // s's task graph (repeat-and-min, bit-identity verified on every run) and
 // returns the wall-clock Measurement with per-task real TaskEvents.

@@ -117,7 +117,8 @@ func TestParallelFactorizeBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s P=%d: map: %v", ns.name, e.label, p, err)
 				}
-				nf, err := ParallelFactorize(ns.m, ns.ops, ns.ew, s2)
+				tasks, elemTask := Tasks(ns.ops, ns.ew, s2)
+				nf, err := exec.ParallelFactorize2D(ns.m, ns.ops.F, s2.P, tasks, elemTask)
 				if err != nil {
 					t.Fatalf("%s %s P=%d: cholesky: %v", ns.name, e.label, p, err)
 				}
@@ -127,7 +128,7 @@ func TestParallelFactorizeBitIdentity(t *testing.T) {
 							ns.name, e.label, p, q, nf.Val[q], ns.chol.Val[q])
 					}
 				}
-				lf, err := ParallelFactorizeLDL(ns.m, ns.ops, ns.ew, s2)
+				lf, err := exec.ParallelFactorize2DLDL(ns.m, ns.ops.F, s2.P, tasks, elemTask)
 				if err != nil {
 					t.Fatalf("%s %s P=%d: ldl: %v", ns.name, e.label, p, err)
 				}

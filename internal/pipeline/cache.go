@@ -83,9 +83,9 @@ func (c *Cache) Factor(pl *Plan, a *sparse.Matrix, k Kernel) (*Factor, error) {
 	return c.factor(pl, a, k, false)
 }
 
-// FactorParallel is Factor built with the parallel engines. Chain-order
-// engines share the serial key (the values are bit-identical); the 1D
-// block engine's key mixes in the plan.
+// FactorParallel is Factor built with the parallel engine. Its values are
+// bit-identical to the serial kernel's, so both share one key and either
+// build serves the other.
 func (c *Cache) FactorParallel(pl *Plan, a *sparse.Matrix, k Kernel) (*Factor, error) {
 	return c.factor(pl, a, k, true)
 }

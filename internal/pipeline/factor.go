@@ -51,45 +51,35 @@ func (k Kernel) valid() error {
 type Factor struct {
 	Plan   *Plan
 	Kernel Kernel
-	// F is the structure Val aligns with: the analysis factor, or the
-	// plan's relaxed partition factor when the 1D block engine ran over a
-	// zero-padded superset structure.
+	// F is the structure Val aligns with: always the analysis factor
+	// Plan.An.F, whichever engine built the values.
 	F   *symbolic.Factor
 	Val []float64
 	// Key content-addresses this artifact by (pattern, ordering, values,
-	// kernel) — plus the plan for block-engine factors, whose rounding
-	// depends on the partition (serial and exact-chain-order parallel
-	// factors are bit-identical and share one key).
+	// kernel). Serial and parallel factors are bit-identical and share it.
 	Key artifact.Key
 
 	solveOnce sync.Once
 	solveSch  *sched.Schedule
-	solveErr  error
 }
 
 // FactorKey returns the content address of the Factor that Factorize
-// (parallel=false) or FactorizeParallel (parallel=true) would build from
-// this plan and a's values, without factorizing. Serial factors, 2D
-// engine factors and lifted column-granular 1D factors share one key:
-// those engines replay the exact serial update order (numeric.Chains)
-// and are bit-for-bit interchangeable. The 1D block engine accumulates
-// updates by structure intersection — and may run over a relaxed,
-// zero-padded factor — so its key mixes in the plan.
+// or FactorizeParallel would build from this plan and a's values, without
+// factorizing. Every engine replays the exact serial update order
+// (numeric.Chains) and is bit-for-bit interchangeable with the serial
+// kernels, so the key depends on (pattern, ordering, values, kernel) only:
+// parallel does not change it, and neither does the plan's strategy or P.
 func (pl *Plan) FactorKey(k Kernel, a *sparse.Matrix, parallel bool) artifact.Key {
 	h := artifact.NewHasher("factor")
 	h.Key(pl.An.Key)
 	h.Str(k.String())
 	h.Key(artifact.Key{Kind: "values", Sum: artifact.ValuesSum(a)})
-	if parallel && pl.S2 == nil && pl.S1.UnitProc != nil {
-		h.Str("blockengine")
-		h.Key(pl.Key)
-	}
 	return h.Sum()
 }
 
 // Factorize computes the numeric factor of a — a matrix with this
-// analysis' pattern — with the serial left-looking kernel. The values are
-// bit-for-bit what the monolithic System.Factorize/FactorizeLDL produce.
+// analysis' pattern — with the serial left-looking kernel
+// (numeric.Factorize or numeric.FactorizeLDL over the permuted matrix).
 func (pl *Plan) Factorize(a *sparse.Matrix, k Kernel) (*Factor, error) {
 	if err := k.valid(); err != nil {
 		return nil, err
@@ -120,10 +110,9 @@ func (pl *Plan) Factorize(a *sparse.Matrix, k Kernel) (*Factor, error) {
 }
 
 // FactorizeParallel computes the numeric factor with one worker goroutine
-// per processor of the plan. 2D plans and column-granular 1D plans run
-// the exact-serial-chain-order engine (bit-identical to Factorize);
-// block-granular 1D plans run the unit-block engine over the plan's
-// partition, which may be a relaxed superset structure.
+// per processor of the plan, executing the plan's own task graph (tile
+// segments, columns or unit blocks) on the chain-order engine. The values
+// are bit-for-bit those of Factorize, for every plan and both kernels.
 func (pl *Plan) FactorizeParallel(a *sparse.Matrix, k Kernel) (*Factor, error) {
 	if err := k.valid(); err != nil {
 		return nil, err
@@ -132,30 +121,18 @@ func (pl *Plan) FactorizeParallel(a *sparse.Matrix, k Kernel) (*Factor, error) {
 	if err != nil {
 		return nil, err
 	}
-	tasks, elemTask, chain, err := pl.chainTasks()
-	if err != nil {
-		return nil, err
-	}
+	tasks, elemTask := pl.engineGraph()
 	var nf *exec.NumericFactor
-	if chain {
-		if k == Cholesky {
-			nf, err = exec.ParallelFactorize2D(pm, pl.An.F, pl.P, tasks, elemTask)
-		} else {
-			nf, err = exec.ParallelFactorize2DLDL(pm, pl.An.F, pl.P, tasks, elemTask)
-		}
+	if k == Cholesky {
+		nf, err = exec.ParallelFactorize2D(pm, pl.An.F, pl.P, tasks, elemTask)
 	} else {
-		part := pl.An.sys.Partition(pl.Opts.Part)
-		if k == Cholesky {
-			nf, err = exec.ParallelFactorize(pm, part, pl.S1)
-		} else {
-			nf, err = exec.ParallelFactorizeLDL(pm, part, pl.S1)
-		}
+		nf, err = exec.ParallelFactorize2DLDL(pm, pl.An.F, pl.P, tasks, elemTask)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return &Factor{
-		Plan: pl, Kernel: k, F: nf.F, Val: nf.Val,
+		Plan: pl, Kernel: k, F: pl.An.F, Val: nf.Val,
 		Key: pl.FactorKey(k, a, true),
 	}, nil
 }
@@ -191,8 +168,8 @@ func (fa *Factor) solveSerial(pb []float64) []float64 {
 
 // Solve solves A·x = b in the original variable order with the serial
 // triangular sweeps. It performs no factorization work: the factor values
-// are already held. For serial-kernel factors the result is bit-for-bit
-// what the monolithic System.Solve produces.
+// are already held. The result is bit-for-bit the permuted serial
+// triangular solve (numeric.Cholesky.Solve or numeric.LDL.Solve).
 func (fa *Factor) Solve(b []float64) ([]float64, error) {
 	if len(b) != fa.F.N {
 		return nil, fmt.Errorf("pipeline: rhs length %d, want %d", len(b), fa.F.N)
@@ -244,7 +221,7 @@ func (fa *Factor) SolveBatch(bs [][]float64) ([][]float64, error) {
 // solveSchedule derives the column-ownership schedule of the parallel
 // sweeps from the plan, expanded over this factor's structure. Built once
 // and reused by every SolveParallel call.
-func (fa *Factor) solveSchedule() (*sched.Schedule, error) {
+func (fa *Factor) solveSchedule() *sched.Schedule {
 	fa.solveOnce.Do(func() {
 		owner := fa.Plan.columnOwners()
 		f := fa.F
@@ -256,7 +233,7 @@ func (fa *Factor) solveSchedule() (*sched.Schedule, error) {
 		}
 		fa.solveSch = &sched.Schedule{P: fa.Plan.P, ElemProc: ep}
 	})
-	return fa.solveSch, fa.solveErr
+	return fa.solveSch
 }
 
 // SolveParallel solves A·x = b with the parallel fan-in triangular sweeps
@@ -268,12 +245,10 @@ func (fa *Factor) SolveParallel(b []float64) ([]float64, error) {
 	if len(b) != fa.F.N {
 		return nil, fmt.Errorf("pipeline: rhs length %d, want %d", len(b), fa.F.N)
 	}
-	s, err := fa.solveSchedule()
-	if err != nil {
-		return nil, err
-	}
+	s := fa.solveSchedule()
 	pb := fa.permute(b)
 	var px []float64
+	var err error
 	if fa.Kernel == LDL {
 		px, err = exec.ParallelSolveLDL(&numeric.LDL{F: fa.F, Val: fa.Val}, s, pb)
 	} else {

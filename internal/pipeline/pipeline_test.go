@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -8,6 +10,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/numeric"
 	"repro/internal/order"
+	"repro/internal/part2d"
+	"repro/internal/sparse"
 	"repro/internal/strategy"
 )
 
@@ -17,7 +21,7 @@ func bitEqual(t *testing.T, got, want []float64, what string) {
 		t.Fatalf("%s: length %d vs %d", what, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: element %d differs bitwise: %g vs %g", what, i, got[i], want[i])
 		}
 	}
@@ -56,9 +60,9 @@ func TestAnalysisMatchesDirectPipeline(t *testing.T) {
 }
 
 // TestFactorChainEnginesBitIdentical pins the key-sharing contract: the
-// serial kernel, the 2D engine and the lifted column-granular 1D engine
-// produce bitwise identical values (so one cache key serves all three),
-// for both kernels.
+// serial kernel and the parallel engine on column-granular 1D and 2D
+// plans produce bitwise identical values (so one cache key serves them
+// all), for both kernels.
 func TestFactorChainEnginesBitIdentical(t *testing.T) {
 	a := gen.Lap30()
 	an, err := NewAnalysis(a)
@@ -83,9 +87,9 @@ func TestFactorChainEnginesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bitEqual(t, fa1.Val, serial.Val, "lifted 1D engine "+k.String())
+			bitEqual(t, fa1.Val, serial.Val, "column 1D engine "+k.String())
 			if fa1.Key != serial.Key {
-				t.Fatalf("lifted 1D factor key %s != serial key %s", fa1.Key, serial.Key)
+				t.Fatalf("column 1D factor key %s != serial key %s", fa1.Key, serial.Key)
 			}
 			pl2, err := an.Plan2D("rect2d", p, strategy.Options{})
 			if err != nil {
@@ -103,52 +107,156 @@ func TestFactorChainEnginesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFactorBlockEngineKeyIncludesPlan pins that the 1D block engine —
-// whose rounding depends on the partition, and which may run over a
-// relaxed structure — never shares a key with serial factors.
-func TestFactorBlockEngineKeyIncludesPlan(t *testing.T) {
+// relaxedOpts selects a zero-padded (relaxed) partition for block plans.
+var relaxedOpts = strategy.Options{Part: core.Options{RelaxZeros: 0.25}}
+
+// TestFactorBlockPlanRelaxedBitIdentical pins that block-granular 1D
+// plans run on the chain-order engine even over a relaxed, zero-padded
+// partition: FactorizeParallel equals Factorize bitwise, over the
+// analysis structure, with the same key, for both kernels — and the
+// factor solves in parallel.
+func TestFactorBlockPlanRelaxedBitIdentical(t *testing.T) {
 	a := gen.Grid9(15, 15)
 	an, err := NewAnalysis(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := an.Plan("block", 4, strategy.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.S1.UnitProc == nil {
-		t.Fatal("block plan is not block-granular")
-	}
-	serial, err := pl.Factorize(a, Cholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := pl.FactorizeParallel(a, Cholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Key == serial.Key {
-		t.Fatal("block-engine factor key must differ from the serial key")
-	}
-	// And it must solve correctly even over a relaxed factor.
-	relaxed, err := an.Plan("block", 4, strategy.Options{Part: core.Options{RelaxZeros: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := relaxed.FactorizeParallel(a, LDL)
-	if err != nil {
-		t.Fatal(err)
+	if an.sys.Partition(relaxedOpts.Part).F == an.F {
+		t.Fatal("relaxation padded nothing; the test needs a superset structure")
 	}
 	b := make([]float64, an.N())
 	for i := range b {
 		b[i] = float64(i%5) - 2
 	}
-	x, err := fr.SolveParallel(b)
+	for _, k := range []Kernel{Cholesky, LDL} {
+		for _, p := range []int{1, 4, 16} {
+			pl, err := an.Plan("block", p, relaxedOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.S1.UnitProc == nil {
+				t.Fatal("block plan is not block-granular")
+			}
+			serial, err := pl.Factorize(a, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := pl.FactorizeParallel(a, k)
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", k, p, err)
+			}
+			bitEqual(t, par.Val, serial.Val, fmt.Sprintf("relaxed block %s P=%d", k, p))
+			if par.Key != serial.Key {
+				t.Fatalf("%s P=%d: parallel key %s != serial key %s", k, p, par.Key, serial.Key)
+			}
+			if par.F != an.F {
+				t.Fatalf("%s P=%d: factor not over the analysis structure", k, p)
+			}
+			x, err := par.SolveParallel(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := numeric.ResidualNorm(a, x, b); r > 1e-8 {
+				t.Fatalf("%s P=%d: relaxed block parallel solve residual %g", k, p, r)
+			}
+		}
+	}
+}
+
+// TestFactorizeParallelEveryPlanBitIdentical is the one-engine property:
+// for every registered 1D strategy (plus relaxed block), every native 2D
+// mapper and every col2d lift, at P in {1, 4, 16, 64} (P above n on the
+// 5x5 grid), FactorizeParallel returns values bitwise equal
+// to Factorize with the same key, for both kernels. Under -race it is
+// also the engine's data-race exercise on every kind of task graph.
+func TestFactorizeParallelEveryPlanBitIdentical(t *testing.T) {
+	type entry struct {
+		label, name string
+		dim2        bool
+		opts        strategy.Options
+	}
+	var entries []entry
+	for _, name := range strategy.Names() {
+		entries = append(entries, entry{label: name, name: name})
+	}
+	entries = append(entries, entry{label: "block(relaxed)", name: "block", opts: relaxedOpts})
+	for _, name := range part2d.Names2D() {
+		if name != "col2d" {
+			entries = append(entries, entry{label: name, name: name, dim2: true})
+		}
+	}
+	for _, base := range part2d.LiftBases() {
+		entries = append(entries, entry{label: "col2d:" + base, name: "col2d", dim2: true, opts: strategy.Options{Base: base}})
+	}
+	for _, a := range []*sparse.Matrix{gen.Grid9(5, 5), gen.Grid9(14, 14)} {
+		an, err := NewAnalysis(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[Kernel]*Factor{}
+		for _, e := range entries {
+			for _, p := range []int{1, 4, 16, 64} {
+				var pl *Plan
+				if e.dim2 {
+					pl, err = an.Plan2D(e.name, p, e.opts)
+				} else {
+					pl, err = an.Plan(e.name, p, e.opts)
+				}
+				if err != nil {
+					t.Fatalf("n=%d %s P=%d: %v", a.N, e.label, p, err)
+				}
+				for _, k := range []Kernel{Cholesky, LDL} {
+					if want[k] == nil {
+						if want[k], err = pl.Factorize(a, k); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got, err := pl.FactorizeParallel(a, k)
+					if err != nil {
+						t.Fatalf("n=%d %s P=%d %s: %v", a.N, e.label, p, k, err)
+					}
+					label := fmt.Sprintf("n=%d %s P=%d %s", a.N, e.label, p, k)
+					bitEqual(t, got.Val, want[k].Val, label)
+					if got.Key != want[k].Key {
+						t.Fatalf("%s: key %s != serial key %s", label, got.Key, want[k].Key)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanKeyRelaxZeros pins that the fractional RelaxZeros option is
+// part of the plan key (it used to be truncated to an integer, so 0, 0.1
+// and 0.25 collided) and that the cache therefore serves the relaxed plan.
+func TestPlanKeyRelaxZeros(t *testing.T) {
+	an, err := NewAnalysis(gen.Grid9(15, 15))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := numeric.ResidualNorm(a, x, b); r > 1e-8 {
-		t.Fatalf("relaxed block LDL parallel solve residual %g", r)
+	seen := map[string]float64{}
+	for _, rz := range []float64{0, 0.1, 0.25} {
+		opts := strategy.Options{Part: core.Options{RelaxZeros: rz}}
+		key := an.PlanKey("block", 4, opts, false).String()
+		if prev, dup := seen[key]; dup {
+			t.Fatalf("RelaxZeros %g and %g share plan key %s", prev, rz, key)
+		}
+		seen[key] = rz
+	}
+	c := NewCache(0)
+	plain, err := c.Plan(an, "block", 4, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relaxed, err := c.Plan(an, "block", 4, relaxedOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if relaxed == plain || relaxed.Opts.Part.RelaxZeros != 0.25 {
+		t.Fatalf("cache served the unrelaxed plan for a RelaxZeros=0.25 request")
+	}
+	if got := c.StatsByKind()["plan"]; got.Misses != 2 {
+		t.Fatalf("plan counters %+v, want 2 misses", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/exec"
+	"repro/internal/numeric"
 	"repro/internal/part2d"
 	"repro/internal/sched"
 	"repro/internal/strategy"
@@ -35,13 +36,11 @@ type Plan struct {
 
 	// elemTask maps factor elements to task IDs (2D plans only).
 	elemTask []int32
-	// lift caches the 2D lift of a column-granular 1D schedule, built on
-	// first parallel factorization.
-	liftOnce sync.Once
-	lift     *part2d.Schedule2D
-	liftErr  error
-	liftTask []exec.Task
-	liftElem []int32
+	// engine is the task graph FactorizeParallel executes, built on first
+	// use so planning never pays for it.
+	engineOnce sync.Once
+	engine     []exec.Task
+	engineElem []int32
 }
 
 // hashOptions mixes every mapping-relevant field of opts into h.
@@ -52,7 +51,7 @@ func hashOptions(h *artifact.Hasher, opts strategy.Options) {
 	po := opts.Part.Normalized()
 	h.I64(int64(po.Grain))
 	h.I64(int64(po.MinClusterWidth))
-	h.I64(int64(po.RelaxZeros))
+	h.F64(po.RelaxZeros)
 	h.I64(int64(opts.BlockSize))
 	h.Str(opts.Base)
 	h.Str(opts.Objective)
@@ -177,29 +176,22 @@ func (pl *Plan) columnOwners() []int32 {
 	return owner
 }
 
-// chainTasks returns a task graph driving the exact-serial-order 2D
-// engine for this plan: the plan's own graph for 2D plans, or the lifted
-// graph for column-granular 1D plans. Block-granular 1D plans (which may
-// run over a relaxed factor) return ok=false and use the 1D block engine
-// instead.
-func (pl *Plan) chainTasks() (tasks []exec.Task, elemTask []int32, ok bool, err error) {
-	if pl.S2 != nil {
-		return pl.Tasks, pl.elemTask, true, nil
-	}
-	if pl.S1.UnitProc != nil {
-		return nil, nil, false, nil
-	}
-	pl.liftOnce.Do(func() {
-		s2, err := part2d.Lift(pl.An.sys, pl.S1, pl.Strategy)
-		if err != nil {
-			pl.liftErr = fmt.Errorf("pipeline: lifting %q schedule: %w", pl.Strategy, err)
-			return
+// engineGraph returns the task graph and element-to-task map the
+// chain-order engine runs for this plan: the plan's own tile-segment graph
+// for 2D plans, its column graph for column-granular 1D plans, and the
+// unit-block graph plus scale dependencies for block-granular 1D plans
+// (over the analysis factor, also when the partition is relaxed).
+func (pl *Plan) engineGraph() ([]exec.Task, []int32) {
+	pl.engineOnce.Do(func() {
+		switch {
+		case pl.S2 != nil:
+			pl.engine, pl.engineElem = pl.Tasks, pl.elemTask
+		case pl.S1.UnitProc != nil:
+			part := pl.An.sys.Partition(pl.Opts.Part)
+			pl.engine, pl.engineElem = exec.BlockExecTasks(part, pl.S1, pl.An.F)
+		default:
+			pl.engine, pl.engineElem = pl.Tasks, numeric.ColIndex(pl.An.F)
 		}
-		pl.lift = s2
-		pl.liftTask, pl.liftElem = part2d.Tasks(pl.An.Ops, pl.An.ElemWork, s2)
 	})
-	if pl.liftErr != nil {
-		return nil, nil, false, pl.liftErr
-	}
-	return pl.liftTask, pl.liftElem, true, nil
+	return pl.engine, pl.engineElem
 }

@@ -415,35 +415,6 @@ type MeasureOptions = exec.MeasureOptions
 // run, and the (bit-identical) parallel factor.
 type Measurement = exec.Measurement
 
-// ParallelFactorize2D executes the numeric Cholesky factorization with one
-// worker goroutine per processor over the merged tile-segment task graph of
-// a 2D schedule — the same graph the Makespan2D* simulators predict. The
-// returned values are bit-for-bit equal to Factorize (updates run in the
-// serial chain order with identical association, so the result does not
-// depend on how the workers interleave).
-//
-// Deprecated: use Plan.FactorizeParallel on a 2D plan, which returns a
-// solvable Factor artifact instead of raw values.
-func (s *System) ParallelFactorize2D(sc *Schedule2D) ([]float64, error) {
-	nf, err := part2d.ParallelFactorize(s.Permuted, s.an.Ops, s.an.ElemWork, sc)
-	if err != nil {
-		return nil, err
-	}
-	return nf.Val, nil
-}
-
-// ParallelFactorize2DLDL is ParallelFactorize2D with the square-root-free
-// LDLᵀ kernel, bit-for-bit equal to FactorizeLDL.
-//
-// Deprecated: use Plan.FactorizeParallel on a 2D plan with KernelLDL.
-func (s *System) ParallelFactorize2DLDL(sc *Schedule2D) ([]float64, error) {
-	nf, err := part2d.ParallelFactorizeLDL(s.Permuted, s.an.Ops, s.an.ElemWork, sc)
-	if err != nil {
-		return nil, err
-	}
-	return nf.Val, nil
-}
-
 // MeasureFactorize2D times the serial factorization against the parallel
 // 2D engine on sc's task graph (repeat-and-min on both sides, bit-identity
 // verified on every parallel run) and returns the wall-clock Measurement.
@@ -514,108 +485,6 @@ func SimulateDAGDynamic(tasks []Task, p int) MakespanResult {
 // CriticalPath returns the longest work-weighted path of a task DAG, the
 // processor-independent lower bound on any schedule's makespan.
 func CriticalPath(tasks []Task) int64 { return exec.CriticalPath(tasks) }
-
-// Factorize computes the numeric Cholesky factor of the permuted matrix.
-//
-// Deprecated: use the staged pipeline (Plan.Factorize), which caches by
-// (pattern, values, kernel) through a Cache.
-func (s *System) Factorize() (*Cholesky, error) {
-	return numeric.Factorize(s.Permuted, s.F)
-}
-
-// FactorizeLDL computes the square-root-free LDLᵀ factorization of the
-// permuted matrix. It succeeds for symmetric indefinite matrices as long
-// as no pivot vanishes, and its element-level dependency structure is
-// identical to Cholesky's, so every partition and schedule applies
-// unchanged (the paper's Section 5 adaptability claim).
-//
-// Deprecated: use the staged pipeline (Plan.Factorize with KernelLDL).
-func (s *System) FactorizeLDL() (*LDL, error) {
-	return numeric.FactorizeLDL(s.Permuted, s.F)
-}
-
-// ParallelFactorizeLDL is ParallelFactorize with the LDLᵀ kernel.
-//
-// Deprecated: use Plan.FactorizeParallel with KernelLDL.
-func (s *System) ParallelFactorizeLDL(part *Partition, sc *Schedule) ([]float64, error) {
-	nf, err := exec.ParallelFactorizeLDL(s.Permuted, part, sc)
-	if err != nil {
-		return nil, err
-	}
-	return nf.Val, nil
-}
-
-// ParallelFactorize executes the numeric factorization with one worker
-// goroutine per simulated processor, synchronizing on the block dependency
-// graph, and returns the factor values (aligned with F's structure).
-//
-// Deprecated: use Plan.FactorizeParallel on a block-granular 1D plan.
-func (s *System) ParallelFactorize(part *Partition, sc *Schedule) ([]float64, error) {
-	nf, err := exec.ParallelFactorize(s.Permuted, part, sc)
-	if err != nil {
-		return nil, err
-	}
-	return nf.Val, nil
-}
-
-// SolveParallel solves A·x = b with every numeric phase executed by
-// worker goroutines over the given partition and schedule: block-parallel
-// Cholesky factorization followed by parallel forward and backward
-// triangular sweeps (the complete four-step pipeline of the paper's
-// Section 2, distributed). x is returned in the original variable order.
-//
-// Deprecated: SolveParallel re-factorizes on every call. Build the plan
-// once (Analysis.Plan), factor once (Plan.FactorizeParallel) and call
-// Factor.SolveParallel per rhs.
-func (s *System) SolveParallel(part *Partition, sc *Schedule, b []float64) ([]float64, error) {
-	if len(b) != s.A.N {
-		return nil, fmt.Errorf("repro: rhs length %d, want %d", len(b), s.A.N)
-	}
-	nf, err := exec.ParallelFactorize(s.Permuted, part, sc)
-	if err != nil {
-		return nil, err
-	}
-	chol := &numeric.Cholesky{F: nf.F, Val: nf.Val}
-	pb := make([]float64, len(b))
-	for k, old := range s.Order {
-		pb[k] = b[old]
-	}
-	px, err := exec.ParallelSolve(chol, sc, pb)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, len(b))
-	for k, old := range s.Order {
-		x[old] = px[k]
-	}
-	return x, nil
-}
-
-// Solve solves A·x = b for the original (unpermuted) system, running the
-// whole direct-method pipeline of Section 2.
-//
-// Deprecated: Solve re-factorizes on every call. Hold a staged Factor
-// (Plan.Factorize via AnalyzePattern or a Cache) and call Factor.Solve,
-// which is bit-identical and performs zero factorization work per call.
-func (s *System) Solve(b []float64) ([]float64, error) {
-	if len(b) != s.A.N {
-		return nil, fmt.Errorf("repro: rhs length %d, want %d", len(b), s.A.N)
-	}
-	chol, err := s.Factorize()
-	if err != nil {
-		return nil, err
-	}
-	pb := make([]float64, len(b))
-	for k, old := range s.Order {
-		pb[k] = b[old]
-	}
-	px := chol.Solve(pb)
-	x := make([]float64, len(b))
-	for k, old := range s.Order {
-		x[old] = px[k]
-	}
-	return x, nil
-}
 
 // ResidualNorm returns ‖A·x − b‖∞ / ‖b‖∞ for the original system.
 func (s *System) ResidualNorm(x, b []float64) float64 {

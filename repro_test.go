@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/numeric"
 )
 
 func TestPipelineEndToEnd(t *testing.T) {
@@ -29,6 +30,32 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// stagedFactor runs the staged pipeline up to the serial factor: analyze
+// a's pattern under perm (MMD when nil), map it with wrap on 4
+// processors and factor.
+func stagedFactor(t *testing.T, a *repro.Matrix, perm []int) *repro.Factor {
+	t.Helper()
+	var an *repro.Analysis
+	var err error
+	if perm == nil {
+		an, err = repro.AnalyzePattern(a)
+	} else {
+		an, err = repro.AnalyzePatternOrdered(a, perm)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := an.Plan("wrap", 4, repro.StrategyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa, err := pl.Factorize(a, repro.KernelCholesky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fa
+}
+
 func TestSolveOriginalSystem(t *testing.T) {
 	a := repro.Grid9(12, 12)
 	sys, err := repro.Analyze(a)
@@ -39,7 +66,7 @@ func TestSolveOriginalSystem(t *testing.T) {
 	for i := range b {
 		b[i] = float64((i*7)%13) - 6
 	}
-	x, err := sys.Solve(b)
+	x, err := stagedFactor(t, a, nil).Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,33 +76,41 @@ func TestSolveOriginalSystem(t *testing.T) {
 }
 
 func TestSolveRejectsBadRHS(t *testing.T) {
-	sys, err := repro.Analyze(repro.Grid5(3, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Solve(make([]float64, 5)); err == nil {
+	fa := stagedFactor(t, repro.Grid5(3, 3), nil)
+	if _, err := fa.Solve(make([]float64, 5)); err == nil {
 		t.Fatal("expected length error")
 	}
 }
 
+// A block plan factored by the parallel engine reproduces the serial
+// kernel on the same permuted system bit for bit.
 func TestParallelMatchesSequential(t *testing.T) {
-	sys, err := repro.Analyze(repro.Grid9(10, 10))
+	a := repro.Grid9(10, 10)
+	sys, err := repro.Analyze(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := sys.Partition(repro.PartitionOptions{Grain: 4, MinClusterWidth: 4})
-	sc := sys.BlockSchedule(part, 6)
-	pv, err := sys.ParallelFactorize(part, sc)
+	an, err := repro.AnalyzePattern(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chol, err := sys.Factorize()
+	pl, err := an.Plan("block", 6, repro.StrategyOptions{
+		Part: repro.PartitionOptions{Grain: 4, MinClusterWidth: 4},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range pv {
-		if math.Abs(pv[k]-chol.Val[k]) > 1e-9 {
-			t.Fatalf("value %d differs: %g vs %g", k, pv[k], chol.Val[k])
+	fa, err := pl.FactorizeParallel(a, repro.KernelCholesky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chol, err := numeric.Factorize(sys.Permuted, sys.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range chol.Val {
+		if math.Float64bits(fa.Val[k]) != math.Float64bits(chol.Val[k]) {
+			t.Fatalf("value %d differs: %g vs %g", k, fa.Val[k], chol.Val[k])
 		}
 	}
 }
@@ -139,7 +174,7 @@ func TestAnalyzeOrderedVariants(t *testing.T) {
 		}
 		b := make([]float64, a.N)
 		b[3] = 1
-		x, err := sys.Solve(b)
+		x, err := stagedFactor(t, a, perm).Solve(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,21 +248,43 @@ func TestSolveParallelEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := sys.Partition(repro.PartitionOptions{Grain: 16, MinClusterWidth: 4})
-	sc := sys.BlockSchedule(part, 6)
+	an, err := repro.AnalyzePattern(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := an.Plan("block", 6, repro.StrategyOptions{
+		Part: repro.PartitionOptions{Grain: 16, MinClusterWidth: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := make([]float64, a.N)
 	for i := range b {
 		b[i] = float64(i%11) - 5
 	}
-	x, err := sys.SolveParallel(part, sc, b)
+	fa, err := pl.FactorizeParallel(a, repro.KernelCholesky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := fa.SolveParallel(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := sys.ResidualNorm(x, b); r > 1e-9 {
 		t.Errorf("parallel solve residual %g", r)
 	}
-	// Agreement with the sequential pipeline.
-	want, err := sys.Solve(b)
+	// Agreement with the sequential pipeline: the factors are bitwise
+	// equal; the parallel fan-in sweeps sum in a different order.
+	serial, err := pl.Factorize(a, repro.KernelCholesky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range serial.Val {
+		if math.Float64bits(fa.Val[k]) != math.Float64bits(serial.Val[k]) {
+			t.Fatalf("factor value %d: parallel %g vs serial %g", k, fa.Val[k], serial.Val[k])
+		}
+	}
+	want, err := serial.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +293,7 @@ func TestSolveParallelEndToEnd(t *testing.T) {
 			t.Fatalf("component %d: parallel %g vs sequential %g", i, x[i], want[i])
 		}
 	}
-	if _, err := sys.SolveParallel(part, sc, make([]float64, 3)); err == nil {
+	if _, err := fa.SolveParallel(make([]float64, 3)); err == nil {
 		t.Fatal("expected rhs length error")
 	}
 }

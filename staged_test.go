@@ -2,10 +2,13 @@ package repro_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"repro"
+	"repro/internal/exec"
+	"repro/internal/numeric"
 )
 
 // stagedRHS builds a deterministic right-hand side.
@@ -17,6 +20,36 @@ func stagedRHS(n int) []float64 {
 	return b
 }
 
+// monolithSolve is the unstaged reference: the serial kernel on the
+// monolithic System's permuted matrix and the permuted serial triangular
+// solve, x returned in the original order.
+func monolithSolve(t *testing.T, sys *repro.System, b []float64, ldl bool) []float64 {
+	t.Helper()
+	pb := make([]float64, len(b))
+	for k, old := range sys.Order {
+		pb[k] = b[old]
+	}
+	var px []float64
+	if ldl {
+		l, err := numeric.FactorizeLDL(sys.Permuted, sys.F)
+		if err != nil {
+			t.Fatal(err)
+		}
+		px = l.Solve(pb)
+	} else {
+		c, err := numeric.Factorize(sys.Permuted, sys.F)
+		if err != nil {
+			t.Fatal(err)
+		}
+		px = c.Solve(pb)
+	}
+	x := make([]float64, len(b))
+	for k, old := range sys.Order {
+		x[old] = px[k]
+	}
+	return x
+}
+
 // bitEqual fails unless got and want are bitwise identical float slices.
 func bitEqual(t *testing.T, got, want []float64, what string) {
 	t.Helper()
@@ -24,18 +57,17 @@ func bitEqual(t *testing.T, got, want []float64, what string) {
 		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: deviates at [%d]: %v vs %v", what, i, got[i], want[i])
 		}
 	}
 }
 
-// TestStagedSolveBitIdenticalToMonolithic pins the tentpole contract on
+// TestStagedSolveBitIdenticalToMonolithic pins the staged contract on
 // every suite matrix: the staged pipeline (AnalyzePattern -> Plan ->
-// Factorize -> Solve) reproduces the monolithic System.Solve bit for
-// bit, for both kernels. The LDLᵀ monolithic baseline is assembled by
-// hand (factorize + permuted serial solve), since System never had an
-// LDL solve-through — the gap the staged Factor closes.
+// Factorize -> Solve) reproduces the serial kernel and triangular solve
+// on the monolithic System's permuted matrix bit for bit, for both
+// kernels.
 func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 	for _, tm := range repro.TestMatrices() {
 		t.Run(tm.Name, func(t *testing.T) {
@@ -54,7 +86,6 @@ func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Cholesky: staged vs System.Solve.
 			fa, err := pl.Factorize(a, repro.KernelCholesky)
 			if err != nil {
 				t.Fatal(err)
@@ -63,13 +94,8 @@ func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sys.Solve(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitEqual(t, got, want, "cholesky staged solve")
+			bitEqual(t, got, monolithSolve(t, sys, b, false), "cholesky staged solve")
 
-			// LDLᵀ: staged vs the hand-rolled monolithic sequence.
 			fl, err := pl.Factorize(a, repro.KernelLDL)
 			if err != nil {
 				t.Fatal(err)
@@ -78,29 +104,17 @@ func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ldl, err := sys.FactorizeLDL()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pb := make([]float64, a.N)
-			for k, old := range sys.Order {
-				pb[k] = b[old]
-			}
-			px := ldl.Solve(pb)
-			wantL := make([]float64, a.N)
-			for k, old := range sys.Order {
-				wantL[old] = px[k]
-			}
-			bitEqual(t, gotL, wantL, "ldl staged solve")
+			bitEqual(t, gotL, monolithSolve(t, sys, b, true), "ldl staged solve")
 		})
 	}
 }
 
 // TestStagedSolveParallelBitIdenticalToMonolithic pins the parallel
 // path on every suite matrix at P in {1, 4, 16}: a block-granular
-// staged plan factored by the parallel engine and solved by
-// Factor.SolveParallel reproduces the monolithic System.SolveParallel
-// (block-parallel factorization + parallel sweeps) bit for bit.
+// staged plan factored by the parallel engine carries the serial
+// kernel's factor bit for bit, and Factor.SolveParallel reproduces the
+// parallel sweeps over the monolithic block schedule (numeric.Factorize
+// followed by exec.ParallelSolve) bit for bit.
 func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 	opts := repro.StrategyOptions{
 		Part: repro.PartitionOptions{Grain: 25, MinClusterWidth: 4},
@@ -117,6 +131,14 @@ func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			chol, err := numeric.Factorize(sys.Permuted, sys.F)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb := make([]float64, a.N)
+			for k, old := range sys.Order {
+				pb[k] = b[old]
+			}
 			for _, p := range []int{1, 4, 16} {
 				pl, err := an.Plan("block", p, opts)
 				if err != nil {
@@ -126,15 +148,20 @@ func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				bitEqual(t, fa.Val, chol.Val, fmt.Sprintf("block parallel factor P=%d", p))
 				got, err := fa.SolveParallel(b)
 				if err != nil {
 					t.Fatal(err)
 				}
 				part := sys.Partition(opts.Part)
 				sc := sys.BlockSchedule(part, p)
-				want, err := sys.SolveParallel(part, sc, b)
+				px, err := exec.ParallelSolve(chol, sc, pb)
 				if err != nil {
 					t.Fatal(err)
+				}
+				want := make([]float64, a.N)
+				for k, old := range sys.Order {
+					want[old] = px[k]
 				}
 				bitEqual(t, got, want, fmt.Sprintf("staged parallel solve P=%d", p))
 			}
@@ -144,8 +171,7 @@ func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 
 // TestStaged2DFactorBitIdenticalToMonolithic pins the 2D path: a staged
 // 2D plan factored in parallel carries values bit-identical to the
-// monolithic System.ParallelFactorize2D[LDL] over the same tile
-// schedule, and those in turn to the serial kernels.
+// serial kernels on the monolithic System's permuted matrix.
 func TestStaged2DFactorBitIdenticalToMonolithic(t *testing.T) {
 	a := repro.LAP30()
 	sys, err := repro.Analyze(a)
@@ -157,35 +183,30 @@ func TestStaged2DFactorBitIdenticalToMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := stagedRHS(a.N)
+	chol, err := numeric.Factorize(sys.Permuted, sys.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ldl, err := numeric.FactorizeLDL(sys.Permuted, sys.F)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []int{1, 4, 16} {
 		pl, err := an.Plan2D("rect2dcyclic", p, repro.StrategyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := sys.MapStrategy2D("rect2dcyclic", p, repro.StrategyOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-
 		fa, err := pl.FactorizeParallel(a, repro.KernelCholesky)
 		if err != nil {
 			t.Fatal(err)
 		}
-		val, err := sys.ParallelFactorize2D(s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitEqual(t, fa.Val, val, fmt.Sprintf("2D cholesky factor P=%d", p))
+		bitEqual(t, fa.Val, chol.Val, fmt.Sprintf("2D cholesky factor P=%d", p))
 
 		fl, err := pl.FactorizeParallel(a, repro.KernelLDL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		valL, err := sys.ParallelFactorize2DLDL(s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitEqual(t, fl.Val, valL, fmt.Sprintf("2D ldl factor P=%d", p))
+		bitEqual(t, fl.Val, ldl.Val, fmt.Sprintf("2D ldl factor P=%d", p))
 
 		// The 2D chain engines replay the serial update order, so the
 		// staged parallel solve must match the staged *serial* factor's
@@ -341,7 +362,7 @@ func TestStagedFactorFromCacheHitBitIdentical(t *testing.T) {
 
 // TestStagedConcurrentMappingAndSolves exercises the service workload
 // under the race detector: one shared System and one shared Cache serving
-// concurrent strategy mapping, staged solves and monolithic solves.
+// concurrent strategy mapping and staged solves.
 func TestStagedConcurrentMappingAndSolves(t *testing.T) {
 	a := repro.LAP30()
 	sys, err := repro.Analyze(a)
@@ -350,10 +371,7 @@ func TestStagedConcurrentMappingAndSolves(t *testing.T) {
 	}
 	cache := repro.NewCache(0)
 	b := stagedRHS(a.N)
-	want, err := sys.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := monolithSolve(t, sys, b, false)
 	names := []string{"wrap", "block", "contiguous", "blockcyclic"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
