@@ -276,10 +276,13 @@ func (p *Partition) DepsOracle(ops *model.Ops) [][]int32 {
 			edges[int64(t)<<32|int64(s)] = struct{}{}
 		}
 	}
-	ops.ForEachUpdate(func(u model.Update) {
-		t := p.ElemUnit[u.Tgt]
-		add(t, p.ElemUnit[u.SrcI])
-		add(t, p.ElemUnit[u.SrcJ])
+	eu, rowInd := p.ElemUnit, ops.F.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		for q := r.SrcJ; q < r.End; q++ {
+			t := eu[r.Tgt[rowInd[q]]]
+			add(t, eu[q])
+			add(t, eu[r.SrcJ])
+		}
 	})
 	out := make([][]int32, len(p.Units))
 	for e := range edges {

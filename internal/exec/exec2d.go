@@ -87,7 +87,7 @@ func runFactorize2D(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, e
 	e := &engine2D{
 		f:     f,
 		val:   numeric.ScatterA(m, f),
-		colOf: numeric.ColIndex(f),
+		colOf: f.ColIndex(),
 		head:  head,
 		pos:   pos,
 		ldl:   ldl,

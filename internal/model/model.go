@@ -63,6 +63,46 @@ func (o *Ops) RowCols(r int) []int32 { return o.rowCols[r] }
 // internal storage.
 func (o *Ops) RowPositions(r int) []int32 { return o.rowPos[r] }
 
+// Run is the block of pair updates one source column K contributes to one
+// target column J (K < J, L[J,K] != 0). For every source position q in
+// [SrcJ, End) — the elements (i, K) with i >= J, SrcJ itself being
+// (J, K) — it is the update L[i,J] -= L[i,K]*L[J,K] with target position
+// Tgt[F.RowInd[q]], first source q and second source SrcJ.
+type Run struct {
+	J, K      int32
+	SrcJ, End int32
+	// Tgt scatters column J's rows to their factor positions: Tgt[i] is
+	// the position of (i, J) for every i in struct(J). It aliases a
+	// buffer the enumerator reuses; other entries are stale.
+	Tgt []int32
+}
+
+// ForEachRun calls fn once per (target column, source column) pair of the
+// factorization: target columns in increasing order and, within one, the
+// source columns of its row structure in increasing order. Consumers run
+// their own loop over [SrcJ, End), so a pass over every update costs one
+// call per factor off-diagonal rather than one per update.
+//
+// The fill theorem guarantees every target (i, J) of a run is present in
+// the factor structure.
+func (o *Ops) ForEachRun(fn func(r Run)) {
+	f := o.F
+	tgt := make([]int32, f.N)
+	for j := 0; j < f.N; j++ {
+		cols := o.rowCols[j]
+		if len(cols) == 0 {
+			continue
+		}
+		base := f.ColPtr[j]
+		for t, i := range f.Col(j) {
+			tgt[i] = int32(base + t)
+		}
+		for t, k := range cols {
+			fn(Run{J: int32(j), K: k, SrcJ: o.rowPos[j][t], End: int32(f.ColPtr[k+1]), Tgt: tgt})
+		}
+	}
+}
+
 // Update is one element-level operation L[tgt] -= L[srcI]*L[srcJ], where
 // the fields are indices into the factor's nonzero array (positions in
 // F.RowInd). For diagonal targets srcI == srcJ.
@@ -70,58 +110,26 @@ type Update struct {
 	Tgt, SrcI, SrcJ int32
 }
 
-// ForEachUpdate calls fn for every pair-update operation of the
-// factorization, in increasing source-column order. For target element
-// (i, j) updated from column k, SrcI is the position of (i, k), SrcJ the
-// position of (j, k), and Tgt the position of (i, j).
-//
-// Enumeration is column-driven over targets: for each target column j,
-// every source column k in the row structure of j contributes updates to
-// all elements (i, j) with i in struct(k), i >= j. The fill theorem
-// guarantees every such (i, j) is present in the factor structure.
+// ForEachUpdate calls fn for every pair-update operation, in ForEachRun
+// order: for target element (i, j) updated from column k, SrcI is the
+// position of (i, k), SrcJ the position of (j, k), and Tgt the position
+// of (i, j). It is the per-update view of ForEachRun for tests and
+// oracles; hot passes loop over runs themselves.
 func (o *Ops) ForEachUpdate(fn func(u Update)) {
-	f := o.F
-	n := f.N
-	// ptr[k] tracks the position of the current target column j within
-	// column k; target columns visit k in increasing order, so the pointer
-	// only advances.
-	ptr := make([]int32, n)
-	for j := 0; j < n; j++ {
-		ptr[j] = int32(f.ColPtr[j]) // start at the diagonal
-	}
-	// pos scatters struct(j) into nonzero positions for the current j.
-	pos := make([]int32, n)
-	for j := 0; j < n; j++ {
-		cj := f.Col(j)
-		base := f.ColPtr[j]
-		for t, i := range cj {
-			pos[i] = int32(base + t)
+	rowInd := o.F.RowInd
+	o.ForEachRun(func(r Run) {
+		for q := r.SrcJ; q < r.End; q++ {
+			fn(Update{Tgt: r.Tgt[rowInd[q]], SrcI: q, SrcJ: r.SrcJ})
 		}
-		for _, k := range o.rowCols[j] {
-			// Advance column k's pointer to row j.
-			p := ptr[k]
-			end := int32(f.ColPtr[k+1])
-			for p < end && f.RowInd[p] < j {
-				p++
-			}
-			ptr[k] = p
-			if p >= end || f.RowInd[p] != j {
-				// Structure violation; cannot happen for a factor produced
-				// by symbolic.Analyze.
-				panic("model: row structure inconsistent with column structure")
-			}
-			srcJ := p
-			for q := p; q < end; q++ {
-				i := f.RowInd[q]
-				fn(Update{Tgt: pos[i], SrcI: int32(q), SrcJ: srcJ})
-			}
-		}
-	}
+	})
 }
 
 // ForEachScale calls fn for every final diagonal update: for each
 // off-diagonal element (i, j), its scale by the diagonal (j, j); and for
 // each diagonal element, its square root (diag position passed twice).
+// Scales read only diagonal positions and pair updates never do, so a
+// fetch pass may handle the scales after its runs, column by column,
+// without changing any first-fetch attribution.
 func (o *Ops) ForEachScale(fn func(tgt, diag int32)) {
 	f := o.F
 	for j := 0; j < f.N; j++ {
@@ -136,7 +144,12 @@ func (o *Ops) ForEachScale(fn func(tgt, diag int32)) {
 // pair updates it receives.
 func (o *Ops) UpdateCounts() []int32 {
 	counts := make([]int32, o.F.NNZ())
-	o.ForEachUpdate(func(u Update) { counts[u.Tgt]++ })
+	rowInd := o.F.RowInd
+	o.ForEachRun(func(r Run) {
+		for _, i := range rowInd[r.SrcJ:r.End] {
+			counts[r.Tgt[i]]++
+		}
+	})
 	return counts
 }
 

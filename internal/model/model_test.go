@@ -37,17 +37,12 @@ func TestUpdatesAreValid(t *testing.T) {
 	o := NewOps(fac)
 	// For each update, verify the index algebra: Tgt=(i,j), SrcI=(i,k),
 	// SrcJ=(j,k) with k < j <= i.
-	colOf := make([]int, fac.NNZ())
-	for j := 0; j < fac.N; j++ {
-		for p := fac.ColPtr[j]; p < fac.ColPtr[j+1]; p++ {
-			colOf[p] = j
-		}
-	}
+	colOf := fac.ColIndex()
 	o.ForEachUpdate(func(u Update) {
 		i := fac.RowInd[u.Tgt]
-		j := colOf[u.Tgt]
-		si, sk := fac.RowInd[u.SrcI], colOf[u.SrcI]
-		sj, sk2 := fac.RowInd[u.SrcJ], colOf[u.SrcJ]
+		j := int(colOf[u.Tgt])
+		si, sk := fac.RowInd[u.SrcI], int(colOf[u.SrcI])
+		sj, sk2 := fac.RowInd[u.SrcJ], int(colOf[u.SrcJ])
 		if si != i || sj != j || sk != sk2 || sk >= j || j > i {
 			t.Fatalf("bad update: tgt=(%d,%d) srcI=(%d,%d) srcJ=(%d,%d)", i, j, si, sk, sj, sk2)
 		}
@@ -141,6 +136,21 @@ func BenchmarkForEachUpdateLap30(b *testing.B) {
 		o.ForEachUpdate(func(u Update) { sink += int64(u.Tgt) })
 	}
 	_ = sink
+}
+
+var workSink []int64
+
+// BenchmarkElementWorkLap30 times the work model of the LAP30 factor: one
+// pass over every pair update.
+func BenchmarkElementWorkLap30(b *testing.B) {
+	m := gen.Lap30()
+	pm, _ := m.Permute(order.MMD(m))
+	o := NewOps(symbolic.Analyze(pm))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		workSink = ElementWork(o)
+	}
 }
 
 func TestSolveElementWorkTotals(t *testing.T) {

@@ -73,39 +73,41 @@ func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
 		FanIn:   make([]int64, s.Tiles()),
 		PerProc: make([]int64, s.P),
 	}
-	// tileOf maps a factor nonzero to its packed tile index.
-	colOf := make([]int32, nnz)
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			colOf[q] = int32(j)
-		}
-	}
-	tileOf := func(q int32) int {
-		return TileID(int(s.BlockOf[f.RowInd[q]]), int(s.BlockOf[colOf[q]]))
-	}
 	fetched := traffic.NewFetchDedup(s.P, nnz)
-	access := func(elem, tgt int32, fanOut bool) {
-		proc := s.ElemProc[tgt]
-		if s.ElemProc[elem] == proc || !fetched.FirstFetch(elem, proc) {
-			return
-		}
-		res.Total++
-		res.PerProc[proc]++
-		if fanOut {
-			res.FanOut[tileOf(tgt)]++
-		} else {
-			res.FanIn[tileOf(tgt)]++
-		}
-	}
-	ops.ForEachUpdate(func(u model.Update) {
+	elemProc, rowInd, blockOf := s.ElemProc, f.RowInd, s.BlockOf
+	ops.ForEachRun(func(r model.Run) {
 		// Source (i, k) sits in tile (block(i), block(k)) — the target's
 		// row of tiles; source (j, k) sits in tile (block(j), block(k)) —
 		// the target's column of tiles.
-		access(u.SrcI, u.Tgt, true)
-		access(u.SrcJ, u.Tgt, false)
+		c := int(blockOf[r.J])
+		ownJ := elemProc[r.SrcJ]
+		for q := r.SrcJ; q < r.End; q++ {
+			i := rowInd[q]
+			proc := elemProc[r.Tgt[i]]
+			if elemProc[q] != proc && fetched.FirstFetch(q, proc) {
+				res.Total++
+				res.PerProc[proc]++
+				res.FanOut[TileID(int(blockOf[i]), c)]++
+			}
+			if ownJ != proc && fetched.FirstFetch(r.SrcJ, proc) {
+				res.Total++
+				res.PerProc[proc]++
+				res.FanIn[TileID(int(blockOf[i]), c)]++
+			}
+		}
 	})
-	ops.ForEachScale(func(tgt, diag int32) {
-		access(diag, tgt, false)
-	})
+	// Scales fetch the diagonal (j, j): fan-in along block column block(j).
+	for j := 0; j < f.N; j++ {
+		diag := int32(f.ColPtr[j])
+		own := elemProc[diag]
+		c := int(blockOf[j])
+		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
+			if proc := elemProc[q]; own != proc && fetched.FirstFetch(diag, proc) {
+				res.Total++
+				res.PerProc[proc]++
+				res.FanIn[TileID(int(blockOf[rowInd[q]]), c)]++
+			}
+		}
+	}
 	return res
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/exec"
-	"repro/internal/numeric"
 	"repro/internal/part2d"
 	"repro/internal/sched"
 	"repro/internal/strategy"
@@ -190,7 +189,7 @@ func (pl *Plan) engineGraph() ([]exec.Task, []int32) {
 			part := pl.An.sys.Partition(pl.Opts.Part)
 			pl.engine, pl.engineElem = exec.BlockExecTasks(part, pl.S1, pl.An.F)
 		default:
-			pl.engine, pl.engineElem = pl.Tasks, numeric.ColIndex(pl.An.F)
+			pl.engine, pl.engineElem = pl.Tasks, pl.An.F.ColIndex()
 		}
 	})
 	return pl.engine, pl.engineElem

@@ -39,6 +39,17 @@ func (f *Factor) Col(j int) []int { return f.RowInd[f.ColPtr[j]:f.ColPtr[j+1]] }
 // ColLen returns the number of nonzeros in column j including the diagonal.
 func (f *Factor) ColLen(j int) int { return f.ColPtr[j+1] - f.ColPtr[j] }
 
+// ColIndex maps every factor nonzero position to its column.
+func (f *Factor) ColIndex() []int32 {
+	colOf := make([]int32, f.NNZ())
+	for j := 0; j < f.N; j++ {
+		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
+			colOf[q] = int32(j)
+		}
+	}
+	return colOf
+}
+
 // Has reports whether position (i, j), i >= j, is in the factor structure.
 func (f *Factor) Has(i, j int) bool {
 	col := f.Col(j)

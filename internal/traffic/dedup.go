@@ -7,8 +7,9 @@ import "fmt"
 // is fetched, that element is stored locally"), shared by every traffic
 // simulator in this package and by the 2D tile simulator
 // (part2d.Traffic). Processor counts of at most 64 use a per-element
-// bitmask; wider counts fall back to a map keyed elem<<16|proc, which
-// bounds supported processor counts at 65536.
+// bitmask; wider counts fall back to a map keyed elem<<32|proc. The same
+// split serves any other distinct-pair set over a small index space, such
+// as the (task, source processor) message set of the fetch attribution.
 type FetchDedup struct {
 	mask []uint64
 	wide map[int64]struct{}
@@ -27,20 +28,23 @@ func NewFetchDedup(p, nnz int) *FetchDedup {
 }
 
 // FirstFetch reports whether processor proc fetches elem for the first
-// time, marking the pair seen.
+// time, marking the pair seen. The bitmask path is small enough to inline
+// into the fetch passes' inner loops.
 func (d *FetchDedup) FirstFetch(elem, proc int32) bool {
-	if d.wide != nil {
-		key := int64(elem)<<16 | int64(proc)
-		if _, ok := d.wide[key]; ok {
-			return false
-		}
-		d.wide[key] = struct{}{}
-		return true
+	if d.mask == nil {
+		return d.firstWide(elem, proc)
 	}
 	bit := uint64(1) << uint(proc)
-	if d.mask[elem]&bit != 0 {
+	m := d.mask[elem]
+	d.mask[elem] = m | bit
+	return m&bit == 0
+}
+
+func (d *FetchDedup) firstWide(elem, proc int32) bool {
+	key := int64(elem)<<32 | int64(proc)
+	if _, ok := d.wide[key]; ok {
 		return false
 	}
-	d.mask[elem] |= bit
+	d.wide[key] = struct{}{}
 	return true
 }

@@ -45,38 +45,65 @@ func (tc *TaskComm) TotalMsgs() int64 {
 }
 
 // fetchPerTask runs the element-fetch simulation once, attributing every
-// distinct (processor, element) fetch to taskOf(tgt) of the update that
-// first requires it. The dedup rule is identical to Simulate's, so the
-// per-task volumes partition the traffic total exactly.
-func fetchPerTask(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf func(tgt int32) int32) *TaskComm {
-	nnz := ops.F.NNZ()
+// distinct (processor, element) fetch to the task of the update target
+// that first requires it: taskOf[tgt], or the target's column when taskOf
+// is nil. The dedup rule is identical to Simulate's, so the per-task
+// volumes partition the traffic total exactly. The message set — distinct
+// (task, source processor) pairs — is a FetchDedup over tasks: one owner
+// bitmask word per task up to 64 processors.
+func fetchPerTask(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
+	f := ops.F
+	nnz := f.NNZ()
 	if len(s.ElemProc) != nnz {
 		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), nnz))
 	}
 	tc := &TaskComm{Vol: make([]int64, ntasks), Msgs: make([]int64, ntasks)}
+	vol, msgs := tc.Vol, tc.Msgs
 	fetched := NewFetchDedup(s.P, nnz)
-	msgSeen := make(map[int64]struct{}) // distinct (source processor, task) pairs
-	access := func(elem, tgt int32) {
-		proc := s.ElemProc[tgt]
-		owner := s.ElemProc[elem]
-		if owner == proc || !fetched.FirstFetch(elem, proc) {
-			return
+	sent := NewFetchDedup(s.P, ntasks)
+	elemProc, rowInd := s.ElemProc, f.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		ownJ := elemProc[r.SrcJ]
+		task := r.J
+		for q := r.SrcJ; q < r.End; q++ {
+			tgt := r.Tgt[rowInd[q]]
+			proc := elemProc[tgt]
+			if taskOf != nil {
+				task = taskOf[tgt]
+			}
+			if own := elemProc[q]; own != proc && fetched.FirstFetch(q, proc) {
+				vol[task]++
+				if sent.FirstFetch(task, own) {
+					msgs[task]++
+				}
+			}
+			if ownJ != proc && fetched.FirstFetch(r.SrcJ, proc) {
+				vol[task]++
+				if sent.FirstFetch(task, ownJ) {
+					msgs[task]++
+				}
+			}
 		}
-		task := taskOf(tgt)
-		tc.Vol[task]++
-		mk := int64(owner)<<32 | int64(task)
-		if _, ok := msgSeen[mk]; !ok {
-			msgSeen[mk] = struct{}{}
-			tc.Msgs[task]++
+	})
+	// Scales: every off-diagonal (i, j) reads the diagonal (j, j).
+	for j := 0; j < f.N; j++ {
+		diag := int32(f.ColPtr[j])
+		own := elemProc[diag]
+		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
+			proc := elemProc[q]
+			if own == proc || !fetched.FirstFetch(diag, proc) {
+				continue
+			}
+			task := int32(j)
+			if taskOf != nil {
+				task = taskOf[q]
+			}
+			vol[task]++
+			if sent.FirstFetch(task, own) {
+				msgs[task]++
+			}
 		}
 	}
-	ops.ForEachUpdate(func(u model.Update) {
-		access(u.SrcI, u.Tgt)
-		access(u.SrcJ, u.Tgt)
-	})
-	ops.ForEachScale(func(tgt, diag int32) {
-		access(diag, tgt)
-	})
 	return tc
 }
 
@@ -87,7 +114,10 @@ func fetchPerTask(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf func(tgt
 // partition the traffic total exactly whatever the granularity — unit
 // blocks (FetchStats), columns (FetchStatsColumns), or the merged
 // tile-segment tasks of the 2D subsystem (part2d.FetchStats).
-func FetchStatsTasks(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf func(tgt int32) int32) *TaskComm {
+func FetchStatsTasks(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
+	if len(taskOf) != ops.F.NNZ() {
+		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), ops.F.NNZ()))
+	}
 	return fetchPerTask(ops, s, ntasks, taskOf)
 }
 
@@ -99,18 +129,11 @@ func FetchStats(part *core.Partition, ops *model.Ops, s *sched.Schedule) *TaskCo
 	if len(part.ElemUnit) != ops.F.NNZ() {
 		panic("traffic: schedule/partition/factor mismatch")
 	}
-	return fetchPerTask(ops, s, len(part.Units), func(tgt int32) int32 { return part.ElemUnit[tgt] })
+	return fetchPerTask(ops, s, len(part.Units), part.ElemUnit)
 }
 
 // FetchStatsColumns is FetchStats for column-mapped schedules, attributing
 // fetches and messages to columns.
 func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
-	f := ops.F
-	colOf := make([]int32, f.NNZ())
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			colOf[q] = int32(j)
-		}
-	}
-	return fetchPerTask(ops, s, f.N, func(tgt int32) int32 { return colOf[tgt] })
+	return fetchPerTask(ops, s, ops.F.N, nil)
 }

@@ -31,9 +31,11 @@ type MessageStats struct {
 }
 
 // consolidate runs the element-fetch simulation and groups distinct
-// fetches into messages keyed by (groupOf(element), destination).
-func consolidate(ops *model.Ops, s *sched.Schedule, groupOf func(elem int32) int32) *MessageStats {
-	nnz := ops.F.NNZ()
+// fetches into messages keyed by (source group, destination): the group
+// is groupOf[elem], or the element's column when groupOf is nil.
+func consolidate(ops *model.Ops, s *sched.Schedule, groupOf []int32) *MessageStats {
+	f := ops.F
+	nnz := f.NNZ()
 	if len(s.ElemProc) != nnz {
 		panic("traffic: schedule covers a different factor")
 	}
@@ -43,20 +45,39 @@ func consolidate(ops *model.Ops, s *sched.Schedule, groupOf func(elem int32) int
 	}
 	sizes := make(map[key]int64)
 	fetched := NewFetchDedup(s.P, nnz)
-	access := func(elem int32, proc int32) {
-		if s.ElemProc[elem] == proc || !fetched.FirstFetch(elem, proc) {
-			return
+	elemProc, rowInd := s.ElemProc, f.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		// Both sources of a run lie in column K.
+		gI, gJ := r.K, r.K
+		if groupOf != nil {
+			gJ = groupOf[r.SrcJ]
 		}
-		sizes[key{groupOf(elem), proc}]++
+		ownJ := elemProc[r.SrcJ]
+		for q := r.SrcJ; q < r.End; q++ {
+			proc := elemProc[r.Tgt[rowInd[q]]]
+			if elemProc[q] != proc && fetched.FirstFetch(q, proc) {
+				if groupOf != nil {
+					gI = groupOf[q]
+				}
+				sizes[key{gI, proc}]++
+			}
+			if ownJ != proc && fetched.FirstFetch(r.SrcJ, proc) {
+				sizes[key{gJ, proc}]++
+			}
+		}
+	})
+	for j := 0; j < f.N; j++ {
+		diag := int32(f.ColPtr[j])
+		own, g := elemProc[diag], int32(j)
+		if groupOf != nil {
+			g = groupOf[diag]
+		}
+		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
+			if proc := elemProc[q]; own != proc && fetched.FirstFetch(diag, proc) {
+				sizes[key{g, proc}]++
+			}
+		}
 	}
-	ops.ForEachUpdate(func(u model.Update) {
-		proc := s.ElemProc[u.Tgt]
-		access(u.SrcI, proc)
-		access(u.SrcJ, proc)
-	})
-	ops.ForEachScale(func(tgt, diag int32) {
-		access(diag, s.ElemProc[tgt])
-	})
 	st := &MessageStats{P: s.P, PerProc: make([]int64, s.P)}
 	//repro:allow maporder -- commutative counts, sums and max over consolidated messages; order cannot change any statistic
 	for k, sz := range sizes {
@@ -80,7 +101,7 @@ func Consolidate(part *core.Partition, ops *model.Ops, s *sched.Schedule) *Messa
 	if len(part.ElemUnit) != ops.F.NNZ() {
 		panic("traffic: partition built over a different factor")
 	}
-	return consolidate(ops, s, func(elem int32) int32 { return part.ElemUnit[elem] })
+	return consolidate(ops, s, part.ElemUnit)
 }
 
 // ConsolidateColumns groups the fetches of a column-mapped (wrap)
@@ -88,14 +109,7 @@ func Consolidate(part *core.Partition, ops *model.Ops, s *sched.Schedule) *Messa
 // pair — the natural consolidation unit when whole columns live on one
 // processor.
 func ConsolidateColumns(ops *model.Ops, s *sched.Schedule) *MessageStats {
-	f := ops.F
-	colOf := make([]int32, f.NNZ())
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			colOf[q] = int32(j)
-		}
-	}
-	return consolidate(ops, s, func(elem int32) int32 { return colOf[elem] })
+	return consolidate(ops, s, nil)
 }
 
 // AlphaBetaCost evaluates the classical linear communication model for

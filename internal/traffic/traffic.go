@@ -82,7 +82,8 @@ func (r *Result) MeanPartners() float64 {
 // built over the same symbolic factor the schedule was computed from.
 // Processor counts above 64 are supported but use a slower path.
 func Simulate(ops *model.Ops, s *sched.Schedule) *Result {
-	nnz := ops.F.NNZ()
+	f := ops.F
+	nnz := f.NNZ()
 	if len(s.ElemProc) != nnz {
 		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), nnz))
 	}
@@ -95,23 +96,34 @@ func Simulate(ops *model.Ops, s *sched.Schedule) *Result {
 		r.Pair[i] = make([]int64, s.P)
 	}
 	fetched := NewFetchDedup(s.P, nnz)
-	access := func(elem int32, proc int32) {
-		owner := s.ElemProc[elem]
-		if owner == proc || !fetched.FirstFetch(elem, proc) {
-			return
+	elemProc, rowInd := s.ElemProc, f.RowInd
+	ops.ForEachRun(func(rn model.Run) {
+		ownJ := elemProc[rn.SrcJ]
+		for q := rn.SrcJ; q < rn.End; q++ {
+			proc := elemProc[rn.Tgt[rowInd[q]]]
+			if own := elemProc[q]; own != proc && fetched.FirstFetch(q, proc) {
+				r.Total++
+				r.PerProc[proc]++
+				r.Pair[own][proc]++
+			}
+			if ownJ != proc && fetched.FirstFetch(rn.SrcJ, proc) {
+				r.Total++
+				r.PerProc[proc]++
+				r.Pair[ownJ][proc]++
+			}
 		}
-		r.Total++
-		r.PerProc[proc]++
-		r.Pair[owner][proc]++
+	})
+	for j := 0; j < f.N; j++ {
+		diag := int32(f.ColPtr[j])
+		own := elemProc[diag]
+		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
+			if proc := elemProc[q]; own != proc && fetched.FirstFetch(diag, proc) {
+				r.Total++
+				r.PerProc[proc]++
+				r.Pair[own][proc]++
+			}
+		}
 	}
-	ops.ForEachUpdate(func(u model.Update) {
-		proc := s.ElemProc[u.Tgt]
-		access(u.SrcI, proc)
-		access(u.SrcJ, proc)
-	})
-	ops.ForEachScale(func(tgt, diag int32) {
-		access(diag, s.ElemProc[tgt])
-	})
 	return r
 }
 
